@@ -6,6 +6,11 @@ application) to a promising "mean value" (Eq. 6).  The search region is
 standard deviation of knob d over the top-40 % fastest training instances.
 Candidates are then sampled uniformly inside the region, so the recommender
 only has to rank a small, promising set.
+
+The 16 fitted forests are also kept flattened as one
+:class:`~repro.ml.forest.PackedForests`, built in :meth:`fit` and again
+when a pickle is loaded (it is not pickled itself), so a query predicts
+every knob with one array walk.
 """
 
 from __future__ import annotations
@@ -15,11 +20,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..ml.forest import RandomForestRegressor
+from ..ml.forest import PackedForests, RandomForestRegressor
 from ..sparksim.config import KNOB_SPECS, NUM_KNOBS, SparkConf
 from ..sparksim.eventlog import AppRun
 
 TOP_FRACTION = 0.4  # paper: top 40 % instances with lowest execution time
+
+_LOWS = np.array([spec.low for spec in KNOB_SPECS], dtype=np.float64)
+_HIGHS = np.array([spec.high for spec in KNOB_SPECS], dtype=np.float64)
 
 
 @dataclass
@@ -45,6 +53,17 @@ class AdaptiveCandidateGenerator:
         self.models_: List[RandomForestRegressor] = []
         self.sigma_: np.ndarray = np.zeros(NUM_KNOBS)
         self.featurizer_: Optional[_AppFeaturizer] = None
+        self._packed: Optional[PackedForests] = None
+
+    # Pickling: the packed arrays are derived from ``models_``.
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        state.pop("_packed", None)
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._packed = PackedForests(self.models_) if self.models_ else None
 
     # ------------------------------------------------------------------
     def fit(self, runs: Sequence[AppRun]) -> "AdaptiveCandidateGenerator":
@@ -69,6 +88,7 @@ class AdaptiveCandidateGenerator:
             )
             model.fit(X, knob_matrix[:, d])
             self.models_.append(model)
+        self._packed = PackedForests(self.models_)
         return self
 
     @staticmethod
@@ -86,28 +106,25 @@ class AdaptiveCandidateGenerator:
         return selected
 
     # ------------------------------------------------------------------
+    def _centers(self, app_name: str, datasize_rows: float) -> np.ndarray:
+        """Every knob's RFR prediction (Eq. 6) for one query."""
+        if self._packed is None:
+            raise RuntimeError("candidate generator is not fitted")
+        return self._packed.predict_row(self.featurizer_.vector(app_name, datasize_rows))
+
     def region(self, app_name: str, datasize_rows: float) -> List[Tuple[float, float]]:
         """The per-knob search interval [center - sigma, center + sigma]."""
-        if not self.models_:
-            raise RuntimeError("candidate generator is not fitted")
-        x = self.featurizer_.vector(app_name, datasize_rows)[None, :]
-        bounds: List[Tuple[float, float]] = []
-        for spec, model, sigma in zip(KNOB_SPECS, self.models_, self.sigma_):
-            center = float(model.predict(x)[0])
-            low = max(spec.low, center - sigma)
-            high = min(spec.high, center + sigma)
-            if low > high:
-                low, high = spec.low, spec.high
-            bounds.append((low, high))
-        return bounds
+        centers = self._centers(app_name, datasize_rows)
+        low = np.maximum(_LOWS, centers - self.sigma_)
+        high = np.minimum(_HIGHS, centers + self.sigma_)
+        empty = low > high
+        low = np.where(empty, _LOWS, low)
+        high = np.where(empty, _HIGHS, high)
+        return list(zip(low.tolist(), high.tolist()))
 
     def predict_point(self, app_name: str, datasize_rows: float) -> SparkConf:
         """The bare-RFR competitor: round the per-knob centers to a conf."""
-        if not self.models_:
-            raise RuntimeError("candidate generator is not fitted")
-        x = self.featurizer_.vector(app_name, datasize_rows)[None, :]
-        vec = np.array([float(m.predict(x)[0]) for m in self.models_])
-        return SparkConf.from_vector(vec)
+        return SparkConf.from_vector(self._centers(app_name, datasize_rows))
 
     def generate(
         self,
@@ -116,10 +133,11 @@ class AdaptiveCandidateGenerator:
         n_candidates: int,
         rng: np.random.Generator,
     ) -> List[SparkConf]:
-        """Sample ``n_candidates`` configurations inside the region."""
-        bounds = self.region(app_name, datasize_rows)
-        out: List[SparkConf] = []
-        for _ in range(n_candidates):
-            vec = np.array([rng.uniform(low, high) for low, high in bounds])
-            out.append(SparkConf.from_vector(vec))
-        return out
+        """Sample ``n_candidates`` configurations inside the region.
+
+        One draw for the whole ``(n_candidates, 16)`` matrix, row-major,
+        which is the same stream as one ``rng.uniform(low, high)`` per knob
+        per candidate.
+        """
+        low, high = np.array(self.region(app_name, datasize_rows)).T
+        return SparkConf.from_matrix(rng.uniform(low, high, size=(n_candidates, NUM_KNOBS)))

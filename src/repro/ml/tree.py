@@ -144,6 +144,31 @@ class DecisionTreeRegressor:
             out[i] = node.prediction
         return out
 
+    def to_arrays(self):
+        """The tree as parallel ``feature/threshold/left/right/value`` arrays.
+
+        Node 0 is the root.  A leaf's ``left`` and ``right`` point to the
+        leaf itself, so a walk of ``depth()`` steps that always applies the
+        split ends on the same leaf as :meth:`predict`.
+        """
+        if self._root is None:
+            raise RuntimeError("tree is not fitted")
+        nodes = [self._root]
+        index = {id(self._root): 0}
+        for node in nodes:   # grows while iterating: breadth-first numbering
+            for child in (node.left, node.right):
+                if child is not None:
+                    index[id(child)] = len(nodes)
+                    nodes.append(child)
+        feature = np.array([max(n.feature, 0) for n in nodes], dtype=np.intp)
+        threshold = np.array([n.threshold for n in nodes], dtype=np.float64)
+        left = np.array([i if n.is_leaf else index[id(n.left)]
+                         for i, n in enumerate(nodes)], dtype=np.intp)
+        right = np.array([i if n.is_leaf else index[id(n.right)]
+                          for i, n in enumerate(nodes)], dtype=np.intp)
+        value = np.array([n.prediction for n in nodes], dtype=np.float64)
+        return feature, threshold, left, right, value
+
     def depth(self) -> int:
         """Actual depth of the fitted tree."""
 

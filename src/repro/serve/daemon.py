@@ -413,14 +413,23 @@ class LiteService:
 class _RequestHandler(BaseHTTPRequestHandler):
     service: LiteService   # injected by make_server onto the subclass
     protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True   # TCP_NODELAY on every accepted socket
 
     # -- plumbing ---------------------------------------------------------
     def log_message(self, format, *args):   # noqa: A002 - stdlib signature
         pass   # request logging goes through obs counters, not stderr
 
-    def _read_json(self) -> Dict:
-        length = int(self.headers.get("Content-Length") or 0)
-        raw = self.rfile.read(length) if length > 0 else b""
+    def _read_body(self) -> bytes:
+        """The request body, read on every route so keep-alive framing holds."""
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            self.close_connection = True
+            raise ServiceError(400, "invalid Content-Length header")
+        return self.rfile.read(length) if length > 0 else b""
+
+    @staticmethod
+    def _parse_json(raw: bytes) -> Dict:
         if not raw:
             raise ServiceError(400, "empty request body; expected a JSON object")
         try:
@@ -431,26 +440,25 @@ class _RequestHandler(BaseHTTPRequestHandler):
             raise ServiceError(400, "JSON body must be an object")
         return payload
 
-    def _send(self, status: int, body: Dict, headers: Optional[Dict[str, str]] = None) -> None:
-        data = json.dumps(body).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(data)
+    def _send(self, status: int, data: bytes, content_type: str,
+              headers: Dict[str, str]) -> None:
+        """Status line, headers and body in one buffer, one socket write.
 
-    def _send_text(self, status: int, text: str, content_type: str,
-                   headers: Optional[Dict[str, str]] = None) -> None:
-        data = text.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(data)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(data)
+        Two writes (headers, then body) would let the body wait on Nagle's
+        algorithm for the client's delayed ACK of the headers on a
+        keep-alive connection; ``disable_nagle_algorithm`` guards the same
+        stall for any write the stdlib makes on its own.
+        """
+        lines = [
+            f"{self.protocol_version} {status} {self.responses[status][0]}",
+            f"Server: {self.version_string()}",
+            f"Date: {self.date_time_string()}",
+            f"Content-Type: {content_type}",
+            f"Content-Length: {len(data)}",
+        ]
+        lines += [f"{name}: {value}" for name, value in headers.items()]
+        head = "\r\n".join(lines) + "\r\n\r\n"
+        self.wfile.write(head.encode("latin-1") + data)
 
     # -- dispatch ---------------------------------------------------------
     _ROUTES = {
@@ -480,6 +488,7 @@ class _RequestHandler(BaseHTTPRequestHandler):
                 if sp:
                     sp.set(route=route, method=method)
                 try:
+                    raw = self._read_body()
                     if route == "health":
                         body = self.service.health()
                     elif route == "stats":
@@ -487,7 +496,7 @@ class _RequestHandler(BaseHTTPRequestHandler):
                     elif route == "metrics":
                         text = render_prometheus()
                     elif route in ("recommend", "feedback"):
-                        payload = self._read_json()
+                        payload = self._parse_json(raw)
                         raw_tenant = payload.get("tenant")
                         if isinstance(raw_tenant, str) and raw_tenant:
                             tenant = raw_tenant
@@ -524,10 +533,10 @@ class _RequestHandler(BaseHTTPRequestHandler):
             cache_hit=cache_hit,
         )
         if text is not None:
-            self._send_text(status, text, PROM_CONTENT_TYPE, headers)
+            self._send(status, text.encode("utf-8"), PROM_CONTENT_TYPE, headers)
         else:
             body["trace_id"] = trace_id
-            self._send(status, body, headers)
+            self._send(status, json.dumps(body).encode("utf-8"), "application/json", headers)
 
     def do_GET(self) -> None:
         self._dispatch("GET")

@@ -43,10 +43,23 @@ class KnobSpec:
 
     def clip(self, value: Number) -> Number:
         """Clamp into range (used when tuners propose out-of-range values)."""
-        if self.kind == "bool":
-            return bool(round(float(value)))
-        v = float(np.clip(float(value), self.low, self.high))
-        return int(round(v)) if self.kind == "int" else v
+        return self.clip_many(np.float64(value))
+
+    def clip_many(self, values: np.ndarray) -> Union[Number, List[Number]]:
+        """Clamp an array of values into ``[low, high]``, then round and cast.
+
+        The single clipping path: :meth:`clip` and every :class:`SparkConf`
+        vector/matrix constructor go through here.  Clamping comes before
+        rounding, so a bool value below -0.5 clips to ``False``.  Returns
+        Python numbers (a list for a 1-D input, a scalar for a 0-d one).
+        """
+        v = np.clip(np.asarray(values, dtype=np.float64), self.low, self.high)
+        if np.isnan(v).any():
+            raise ValueError(f"{self.name}: cannot clip NaN")
+        if self.kind == "float":
+            return v.tolist()
+        v = np.rint(v)
+        return (v != 0.0).tolist() if self.kind == "bool" else v.astype(np.int64).tolist()
 
     def sample(self, rng: np.random.Generator) -> Number:
         if self.kind == "bool":
@@ -133,9 +146,16 @@ class SparkConf:
         vector = np.asarray(vector, dtype=np.float64)
         if vector.shape != (NUM_KNOBS,):
             raise ValueError(f"expected vector of shape ({NUM_KNOBS},), got {vector.shape}")
-        return SparkConf(
-            {spec.name: spec.clip(v) for spec, v in zip(KNOB_SPECS, vector)}
-        )
+        return SparkConf.from_matrix(vector[None, :])[0]
+
+    @staticmethod
+    def from_matrix(matrix: np.ndarray) -> List["SparkConf"]:
+        """One conf per row of an ``(n, 16)`` matrix, clipped like :meth:`from_vector`."""
+        matrix = np.asarray(matrix, dtype=np.float64)
+        if matrix.ndim != 2 or matrix.shape[1] != NUM_KNOBS:
+            raise ValueError(f"expected a matrix of shape (n, {NUM_KNOBS}), got {matrix.shape}")
+        columns = [spec.clip_many(matrix[:, d]) for d, spec in enumerate(KNOB_SPECS)]
+        return [SparkConf(dict(zip(KNOB_NAMES, row))) for row in zip(*columns)]
 
     @staticmethod
     def from_unit_vector(unit: Sequence[float]) -> "SparkConf":

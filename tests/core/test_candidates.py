@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.candidates import AdaptiveCandidateGenerator, TOP_FRACTION
 from repro.sparksim import KNOB_SPECS, NUM_KNOBS, SparkConf, CLUSTER_C
@@ -105,3 +106,90 @@ class TestGeneration:
         small = fitted_acg.region("KMeans", 1.2e6)
         large = fitted_acg.region("KMeans", 1.2e8)
         assert small != large  # RFR consumes the datasize feature
+
+
+# ----------------------------------------------------------------------
+# Oracles: the per-knob, per-tree, per-element implementation that the
+# packed walk and the one-draw sampler replaced.
+# ----------------------------------------------------------------------
+def oracle_region(acg, app_name, datasize_rows):
+    x = acg.featurizer_.vector(app_name, datasize_rows)[None, :]
+    bounds = []
+    for spec, model, sigma in zip(KNOB_SPECS, acg.models_, acg.sigma_):
+        center = float(model.predict(x)[0])
+        low = max(spec.low, center - sigma)
+        high = min(spec.high, center + sigma)
+        if low > high:
+            low, high = spec.low, spec.high
+        bounds.append((low, high))
+    return bounds
+
+
+def oracle_from_vector(vector):
+    values = {}
+    for spec, v in zip(KNOB_SPECS, vector):
+        if spec.kind == "bool":
+            values[spec.name] = bool(round(float(v)))   # callers pass in-range bools
+        else:
+            clipped = float(np.clip(float(v), spec.low, spec.high))
+            values[spec.name] = int(round(clipped)) if spec.kind == "int" else clipped
+    return SparkConf(values)
+
+
+def oracle_generate(acg, app_name, datasize_rows, n_candidates, rng):
+    bounds = oracle_region(acg, app_name, datasize_rows)
+    return [
+        oracle_from_vector(np.array([rng.uniform(low, high) for low, high in bounds]))
+        for _ in range(n_candidates)
+    ]
+
+
+@pytest.fixture(scope="module")
+def default_acg(small_corpus_module):
+    """The serving shape: 16 knobs x 25 trees, depth <= 6."""
+    return AdaptiveCandidateGenerator(seed=4).fit(small_corpus_module)
+
+
+APPS = st.sampled_from(["WordCount", "PageRank", "KMeans", "NeverSeenApp"])
+DATASIZES = st.one_of(
+    st.sampled_from([0.0, 1e-9, 1.0, 1e300]),
+    st.floats(0.0, 1e12, allow_nan=False),
+)
+
+
+class TestPackedEqualsOracle:
+    @settings(max_examples=80, deadline=None)
+    @given(app=APPS, size=DATASIZES)
+    def test_region_and_point(self, default_acg, app, size):
+        assert default_acg.region(app, size) == oracle_region(default_acg, app, size)
+        x = default_acg.featurizer_.vector(app, size)[None, :]
+        centers = np.array([float(m.predict(x)[0]) for m in default_acg.models_])
+        assert default_acg.predict_point(app, size) == oracle_from_vector(centers)
+
+    @settings(max_examples=25, deadline=None)
+    @given(app=APPS, size=DATASIZES, n=st.integers(0, 45), seed=st.integers(0, 2**32 - 1))
+    def test_generate_same_confs_and_generator_state(self, default_acg, app, size, n, seed):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert default_acg.generate(app, size, n, rng) == oracle_generate(
+            default_acg, app, size, n, ref)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_every_fitted_app(self, default_acg):
+        for app in default_acg.featurizer_.app_names:
+            for size in (0.0, 3e4, 2e6, 1e15):
+                assert default_acg.region(app, size) == oracle_region(default_acg, app, size)
+
+
+def test_packed_forests_not_pickled_and_rebuilt_on_load(default_acg, tmp_path):
+    from repro.core.lite import LITE
+    from repro.core.persistence import load_lite, save_lite
+
+    lite = LITE()
+    lite.candidate_generator = default_acg
+    lite.trained = True
+    path = save_lite(lite, tmp_path / "lite.pkl")
+    blob = path.read_bytes()
+    assert b"PackedForests" not in blob and b"_packed" not in blob
+    loaded = load_lite(path).candidate_generator
+    for app in ("PageRank", "NeverSeenApp"):
+        assert loaded.region(app, 2e6) == default_acg.region(app, 2e6)

@@ -9,6 +9,7 @@ from repro.ml import (
     GradientBoostingRegressor,
     RandomForestRegressor,
 )
+from repro.ml.forest import PackedForests
 
 
 def step_data(n=200, seed=0):
@@ -116,6 +117,44 @@ class TestRandomForest:
         X, y = linear_data(n=50)
         with pytest.raises(ValueError):
             RandomForestRegressor(n_estimators=2, max_features="all").fit(X, y)
+
+
+class TestPackedForests:
+    """The flattened walk against per-tree ``predict`` (the oracle), exactly."""
+
+    @pytest.fixture(scope="class")
+    def forests(self):
+        X, y = linear_data(n=120)
+        return [
+            RandomForestRegressor(n_estimators=n_trees, max_depth=depth, seed=k).fit(X, y * (k + 1))
+            for k, (n_trees, depth) in enumerate([(25, 6), (25, 3), (25, 8)])
+        ]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.floats(-2, 2, allow_nan=False), min_size=4, max_size=4))
+    def test_matches_per_tree_predict(self, forests, row):
+        x = np.array(row)
+        packed = PackedForests(forests).predict_row(x)
+        expected = [forest.predict(x[None, :])[0] for forest in forests]
+        assert packed.tolist() == expected
+
+    def test_to_arrays_leaves_point_to_themselves(self, forests):
+        tree = forests[0].trees_[0]
+        feature, threshold, left, right, value = tree.to_arrays()
+        leaves = np.flatnonzero(left == np.arange(len(left)))
+        assert len(leaves) > 1 and (right[leaves] == leaves).all()
+        assert left[0] != 0   # the root is a split
+
+    def test_rejects_ragged_or_unfitted(self, forests):
+        X, y = linear_data(n=40)
+        with pytest.raises(ValueError):
+            PackedForests([forests[0], RandomForestRegressor(n_estimators=3).fit(X, y)])
+        with pytest.raises(ValueError):
+            PackedForests([RandomForestRegressor()])
+
+    def test_row_shape_checked(self, forests):
+        with pytest.raises(ValueError):
+            PackedForests(forests).predict_row(np.zeros(3))
 
 
 class TestGBM:

@@ -48,6 +48,23 @@ class TestKnobSpec:
         assert spec.clip(-100) == spec.low
         assert spec.clip(1e9) == spec.high
 
+    def test_bool_clip_clamps_before_rounding(self):
+        spec = KNOB_BY_NAME["spark.shuffle.compress"]
+        # round(-0.6) is -1, which is truthy: clamping must come first.
+        assert spec.clip(-0.6) is False
+        assert spec.clip(-7.0) is False
+        assert spec.clip(0.4) is False and spec.clip(0.6) is True
+        assert spec.clip(3.2) is True
+
+    def test_clip_rejects_nan(self):
+        with pytest.raises(ValueError):
+            KNOB_BY_NAME["spark.executor.cores"].clip(float("nan"))
+
+    def test_clip_many_matches_clip(self):
+        values = np.array([-3.0, -0.6, 0.0, 0.5, 1.5, 2.5, 7.49, 1e9])
+        for spec in KNOB_SPECS:
+            assert spec.clip_many(values) == [spec.clip(v) for v in values]
+
     def test_bool_roundtrip(self):
         spec = KNOB_BY_NAME["spark.shuffle.compress"]
         assert spec.validate(0) is False
@@ -89,6 +106,21 @@ class TestSparkConf:
         b = SparkConf({"spark.executor.cores": 4})
         assert a == b and hash(a) == hash(b)
         assert a != SparkConf()
+
+    def test_from_matrix_rows_equal_from_vector(self, rng):
+        lows = np.array([spec.low for spec in KNOB_SPECS]) - 5
+        highs = np.array([spec.high for spec in KNOB_SPECS]) + 5
+        matrix = rng.uniform(lows, highs, size=(12, NUM_KNOBS))
+        confs = SparkConf.from_matrix(matrix)
+        assert confs == [SparkConf.from_vector(row) for row in matrix]
+        assert SparkConf.from_matrix(np.zeros((0, NUM_KNOBS))) == []
+        with pytest.raises(ValueError):
+            SparkConf.from_matrix(np.zeros(NUM_KNOBS))
+
+    def test_from_vector_clips_negative_bools_to_false(self):
+        vec = SparkConf().to_vector()
+        vec[KNOB_NAMES.index("spark.shuffle.compress")] = -0.6
+        assert SparkConf.from_vector(vec)["spark.shuffle.compress"] is False
 
     def test_vector_shape_checked(self):
         with pytest.raises(ValueError):

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.sparksim import CLUSTER_A, CLUSTER_C, SparkConf, SparkContext
+from repro.sparksim.costmodel import SparkJobError
 from repro.sparksim.instrument import DAG_NODE_LABEL
 
 # Each op is (name, apply_fn) operating on a pair-RDD of (int, int).
@@ -68,10 +69,24 @@ class TestRandomPipelines:
 
     @settings(max_examples=25, deadline=None)
     @given(ops=op_names)
+    @example(ops=["flatMapValues"] * 5)   # 768 MB result: over the driver's memory
     def test_sampled_results_match_reference(self, ops):
-        """The simulator's sampled execution equals a plain-Python oracle."""
-        sc = SparkContext("fuzz", SparkConf(), CLUSTER_A, deterministic=True)
-        result = sorted(map(repr, build_pipeline(sc, ops).collect()))
+        """The simulator's sampled execution equals a plain-Python oracle.
+
+        A collect whose full-scale result exceeds the driver limits must
+        fail the job instead; everything else must return the oracle's
+        records.
+        """
+        conf = SparkConf()
+        sc = SparkContext("fuzz", conf, CLUSTER_A, deterministic=True)
+        rdd = build_pipeline(sc, ops)
+        result_mb = rdd.logical_bytes / 1e6
+        if (result_mb > conf["spark.driver.maxResultSize"]
+                or result_mb / 1024.0 > 0.6 * conf["spark.driver.memory"]):
+            with pytest.raises(SparkJobError, match="result-size-exceeded|driver-oom"):
+                rdd.collect()
+            return
+        result = sorted(map(repr, rdd.collect()))
 
         # Oracle: same semantics on plain lists.
         data = [(i % 9, i) for i in range(40)]
