@@ -210,7 +210,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--max-inflight", type=int, default=16,
                          help="concurrent requests before shedding with 503")
     p_serve.add_argument("--batch-window-ms", type=float, default=2.0,
-                         help="micro-batch hold-open window per tenant")
+                         help="micro-batch hold-open window, held only while "
+                              "a batch for the same tenant/app/cluster is "
+                              "already running")
     p_serve.add_argument("--quota-rps", type=float, default=None,
                          help="per-tenant sustained request rate; exhausted "
                               "tenants get 429 (default: quotas disabled)")

@@ -75,7 +75,7 @@ class AdaptiveCandidateGenerator:
         X = np.stack(
             [self.featurizer_.vector(r.app_name, r.data_features[0]) for r in good]
         )
-        knob_matrix = np.stack([r.conf.to_vector() for r in good])
+        knob_matrix = SparkConf.stack([r.conf for r in good])
         self.sigma_ = knob_matrix.std(axis=0)
         # Guard degenerate spans: fall back to 10 % of the knob range.
         ranges = np.array([spec.high - spec.low for spec in KNOB_SPECS])

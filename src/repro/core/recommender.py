@@ -147,7 +147,7 @@ class KnobRecommender:
                 candidate_lists, data_features_list
             ):
                 numeric = numeric_feature_rows(
-                    np.stack([conf.to_vector() for conf in candidates]),
+                    SparkConf.stack(candidates),
                     data_features, env,
                 )
                 n_rows += int(numeric.shape[0])

@@ -153,12 +153,15 @@ class AdaptiveModelUpdater:
                 y = all_y[rows]
                 labels = np.concatenate([np.ones(len(si)), np.zeros(len(ti))])
 
+                # One NECS forward serves both steps: the discriminator
+                # steps change only discriminator weights.
+                pred, h = net.forward_with_embedding(
+                    numeric, codes, graphs, template_index=batch_tindex
+                )
+
                 # -------- discriminator step (on detached embeddings) ----
+                h_const = h.detach()
                 for _ in range(cfg.disc_steps):
-                    _, h = net.forward_with_embedding(
-                        numeric, codes, graphs, template_index=batch_tindex
-                    )
-                    h_const = h.detach()
                     d_prob = self.discriminator(h_const)
                     d_loss = nn.bce_loss(d_prob, labels)
                     opt_disc.zero_grad()
@@ -166,9 +169,6 @@ class AdaptiveModelUpdater:
                     opt_disc.step()
 
                 # -------- NECS step: accurate + domain-confusing ---------
-                pred, h = net.forward_with_embedding(
-                    numeric, codes, graphs, template_index=batch_tindex
-                )
                 pred_loss = nn.mse_loss(pred, y)
                 d_prob = self.discriminator(h)
                 confusion = nn.bce_loss(d_prob, labels)

@@ -4,12 +4,19 @@ The daemon's recommendation hot path is a batched tower-MLP forward whose
 per-row cost shrinks as the batch grows, so concurrent requests for the
 same (tenant, app, cluster) are worth coalescing into one
 ``LITE.recommend_many`` call.  The first thread to arrive for a key
-becomes the *leader*: it holds the batch open for ``window_s`` (a couple
-of milliseconds — bounded added latency), then runs the whole batch and
-publishes results; threads arriving inside the window become *followers*
-that just wait for their slot.  ``predict_encoded`` is row-wise
-bit-stable across batch sizes, so a coalesced request returns exactly the
-ranking a standalone call would have.
+becomes the *leader*; threads that join its open batch become
+*followers* that just wait for their slot.  ``predict_encoded`` is
+row-wise bit-stable across batch sizes, so a coalesced request returns
+exactly the ranking a standalone call would have.
+
+The window is held only under contention.  The batcher counts the
+batches running per key.  A leader that opens a batch while its key
+already has one running holds it open for ``window_s`` (a couple of
+milliseconds — bounded added latency): requests that arrive behind a
+running forward pile up and then share the next one.  A leader whose key
+is idle closes its batch at once and runs it alone, since no follower is
+likely to arrive and waiting would only add latency.  The decision and
+the batch opening happen under one lock acquisition.
 
 Error semantics: the batch runner validates nothing — callers must
 validate requests *before* submitting, so an exception out of the runner
@@ -63,7 +70,10 @@ class MicroBatcher:
             raise ValueError("window_s must be >= 0")
         self.window_s = window_s
         self._lock = threading.Lock()
+        #: Open batches (accepting followers), per key.
         self._pending: Dict[Hashable, _Batch] = {}
+        #: Batches running (closed, runner not yet returned), per key.
+        self._running: Dict[Hashable, int] = {}
 
     def submit(
         self,
@@ -76,7 +86,8 @@ class MicroBatcher:
         The calling thread blocks until the batch leader has run
         ``run_batch`` over every coalesced item (order of arrival); the
         leader is whichever caller opened the batch.  ``run_batch`` must
-        return one result per item, in order.
+        return one result per item, in order.  The leader holds the batch
+        open for ``window_s`` only while another batch for ``key`` runs.
         """
         ctx = obs_context.capture()
         with self._lock:
@@ -84,16 +95,21 @@ class MicroBatcher:
             leader = batch is None
             if leader:
                 batch = _Batch()
-                self._pending[key] = batch
+                hold = key in self._running
+                if hold:
+                    self._pending[key] = batch
+                else:
+                    self._running[key] = 1
             index = len(batch.items)
             batch.items.append(item)
             batch.ctxs.append(ctx)
         if leader:
-            if self.window_s > 0:
+            if hold:
                 time.sleep(self.window_s)
-            with self._lock:
-                # Close the window: late arrivals open a fresh batch.
-                self._pending.pop(key, None)
+                with self._lock:
+                    # Close the window: late arrivals open a fresh batch.
+                    del self._pending[key]
+                    self._running[key] = self._running.get(key, 0) + 1
             try:
                 with obs.span(obsn.SPAN_SERVE_BATCH_RUN) as sp:
                     if sp:
@@ -121,6 +137,10 @@ class MicroBatcher:
             except BaseException as exc:
                 batch.error = exc
             finally:
+                with self._lock:
+                    self._running[key] -= 1
+                    if not self._running[key]:
+                        del self._running[key]
                 batch.done.set()
         else:
             batch.done.wait()

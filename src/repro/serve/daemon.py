@@ -75,7 +75,9 @@ class ServiceConfig:
     port: int = 0                  #: 0 = let the OS pick (tests, benches)
     max_tenants: int = 4           #: registry LRU budget
     max_inflight: int = 16         #: admission-control bound
-    batch_window_s: float = 0.002  #: micro-batch hold-open window
+    #: Micro-batch hold-open window, held only while a batch for the same
+    #: key is running; an idle key's request runs at once.
+    batch_window_s: float = 0.002
     default_cluster: str = "C"
     retry_after_s: int = 1         #: advertised on 503 responses
     #: Per-tenant sustained request rate (tokens/s); None disables quotas.
@@ -201,6 +203,16 @@ class LiteService:
             raise ServiceError(400, f"{key!r} must be a non-empty string")
         return value
 
+    @staticmethod
+    def _parse_seed(value: object) -> int:
+        try:
+            seed = int(value)
+        except (TypeError, ValueError, OverflowError):
+            raise ServiceError(400, "'seed' must be an integer")
+        if seed < 0:
+            raise ServiceError(400, "'seed' must be >= 0")
+        return seed
+
     def _parse_cluster(self, payload: Dict):
         name = payload.get("cluster", self.config.default_cluster)
         try:
@@ -235,12 +247,7 @@ class LiteService:
                     raise ServiceError(400, "'n_candidates' must be >= 1")
             cluster = self._parse_cluster(payload)
             seed = payload.get("seed")
-            if seed is not None:
-                try:
-                    seed = int(seed)
-                except (TypeError, ValueError):
-                    raise ServiceError(400, "'seed' must be an integer")
-            rng = get_rng(seed) if seed is not None else None
+            rng = get_rng(self._parse_seed(seed)) if seed is not None else None
             with self._admission():
                 try:
                     with self.registry.lease(tenant) as lite:
@@ -276,8 +283,10 @@ class LiteService:
             app = self._require_str(payload, "app")
             cluster = self._parse_cluster(payload)
             scale = payload.get("scale", "train0")
-            seed = int(payload.get("seed", 0))
-            update_now = bool(payload.get("update_now", False))
+            seed = self._parse_seed(payload.get("seed", 0))
+            update_now = payload.get("update_now", False)
+            if not isinstance(update_now, bool):
+                raise ServiceError(400, "'update_now' must be a JSON boolean")
             conf_values = payload.get("conf") or {}
             if not isinstance(conf_values, dict):
                 raise ServiceError(400, "'conf' must be a knob-name -> value object")

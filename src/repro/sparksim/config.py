@@ -9,6 +9,7 @@ from vectors (for tuners that act in R^D).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -107,6 +108,8 @@ KNOB_SPECS: Tuple[KnobSpec, ...] = (
 KNOB_NAMES: Tuple[str, ...] = tuple(spec.name for spec in KNOB_SPECS)
 KNOB_BY_NAME: Dict[str, KnobSpec] = {spec.name: spec for spec in KNOB_SPECS}
 NUM_KNOBS = len(KNOB_SPECS)
+#: A conf's value dict -> its values as a tuple in ``KNOB_NAMES`` order.
+_KNOB_VALUES = itemgetter(*KNOB_NAMES)
 
 
 class SparkConf:
@@ -150,12 +153,28 @@ class SparkConf:
 
     @staticmethod
     def from_matrix(matrix: np.ndarray) -> List["SparkConf"]:
-        """One conf per row of an ``(n, 16)`` matrix, clipped like :meth:`from_vector`."""
+        """One conf per row of an ``(n, 16)`` matrix, clipped like :meth:`from_vector`.
+
+        :meth:`KnobSpec.clip_many` already clamps, rounds and casts every
+        value, so the rows skip ``__init__``'s per-value
+        :meth:`KnobSpec.validate` pass (an identity on in-range values).
+        """
         matrix = np.asarray(matrix, dtype=np.float64)
         if matrix.ndim != 2 or matrix.shape[1] != NUM_KNOBS:
             raise ValueError(f"expected a matrix of shape (n, {NUM_KNOBS}), got {matrix.shape}")
         columns = [spec.clip_many(matrix[:, d]) for d, spec in enumerate(KNOB_SPECS)]
-        return [SparkConf(dict(zip(KNOB_NAMES, row))) for row in zip(*columns)]
+        confs = []
+        for row in zip(*columns):
+            conf = object.__new__(SparkConf)
+            object.__setattr__(conf, "_values", dict(zip(KNOB_NAMES, row)))
+            confs.append(conf)
+        return confs
+
+    @staticmethod
+    def stack(confs: Sequence["SparkConf"]) -> np.ndarray:
+        """The ``(n, 16)`` knob matrix of ``confs``: row ``i`` is ``confs[i].to_vector()``."""
+        rows = [_KNOB_VALUES(conf._values) for conf in confs]
+        return np.array(rows, dtype=np.float64).reshape(len(rows), NUM_KNOBS)
 
     @staticmethod
     def from_unit_vector(unit: Sequence[float]) -> "SparkConf":

@@ -124,6 +124,25 @@ class TestErrorStatuses:
         assert status == 404
         assert "unknown tenant" in body["error"]
 
+    @pytest.mark.parametrize("bad", ["abc", None, [1]])
+    def test_bad_feedback_seed_is_400(self, server, bad):
+        status, body, headers = _request(server, "POST", "/v1/feedback", {
+            "tenant": "acme", "app": APP, "conf": {}, "seed": bad,
+        })
+        assert status == 400
+        assert body["error"] == "'seed' must be an integer"
+        assert body["trace_id"] == headers["X-Repro-Trace-Id"]
+        # A client error spends no availability budget.
+        _, stats, _ = _request(server, "GET", "/v1/stats")
+        assert stats["slo"]["slos"]["availability"]["bad_total"] == 0
+
+    def test_string_update_now_is_400(self, server):
+        status, body, _ = _request(server, "POST", "/v1/feedback", {
+            "tenant": "acme", "app": APP, "conf": {}, "update_now": "false",
+        })
+        assert status == 400
+        assert "'update_now' must be a JSON boolean" in body["error"]
+
     def test_unknown_endpoint_is_404(self, server):
         status, body, _ = _request(server, "GET", "/v1/nope")
         assert status == 404

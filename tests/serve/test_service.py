@@ -171,6 +171,47 @@ class TestFeedback:
             service.feedback({"tenant": "nobody", "app": APP, "conf": {}})
         assert _status(excinfo) == 404
 
+    @pytest.mark.parametrize("bad", ["abc", None, [1], 1.0e400, -1])
+    def test_bad_seed_is_400(self, service, bad):
+        with pytest.raises(ServiceError) as excinfo:
+            service.feedback({"tenant": "acme", "app": APP, "conf": {},
+                              "seed": bad})
+        assert _status(excinfo) == 400
+        assert "'seed' must be" in excinfo.value.message
+
+    @pytest.mark.parametrize("bad", ["false", "true", 0, 1, None, [], {}])
+    def test_update_now_must_be_a_json_boolean(self, service, tenant_lites,
+                                               monkeypatch, bad):
+        runs = []
+        monkeypatch.setattr(tenant_lites["acme"], "feedback",
+                            lambda run, update_now=False: runs.append(update_now))
+        with pytest.raises(ServiceError) as excinfo:
+            service.feedback({"tenant": "acme", "app": APP, "conf": {},
+                              "update_now": bad})
+        assert _status(excinfo) == 400
+        assert "'update_now' must be a JSON boolean" in excinfo.value.message
+        # Rejected before any run or retrain.
+        assert runs == []
+
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_update_now_booleans_reach_the_model(self, service, tenant_lites,
+                                                 monkeypatch, flag):
+        runs = []
+        monkeypatch.setattr(tenant_lites["acme"], "feedback",
+                            lambda run, update_now=False: runs.append(update_now))
+        service.feedback({"tenant": "acme", "app": APP, "conf": {},
+                          "update_now": flag})
+        assert runs == [flag]
+
+
+class TestSeedValidation:
+    @pytest.mark.parametrize("bad", ["abc", [1], 1.0e400, -1])
+    def test_bad_recommend_seed_is_400(self, service, bad):
+        with pytest.raises(ServiceError) as excinfo:
+            service.recommend(_payload(seed=bad))
+        assert _status(excinfo) == 400
+        assert "'seed' must be" in excinfo.value.message
+
 
 class TestStatsAndHealth:
     def test_health_lists_tenants(self, service):

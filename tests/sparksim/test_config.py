@@ -117,6 +117,40 @@ class TestSparkConf:
         with pytest.raises(ValueError):
             SparkConf.from_matrix(np.zeros(NUM_KNOBS))
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(
+        st.lists(st.floats(allow_nan=False), min_size=NUM_KNOBS, max_size=NUM_KNOBS),
+        min_size=1, max_size=6,
+    ))
+    def test_from_matrix_equals_validated_construction(self, rows):
+        # Rows reach far outside every knob range (and to +-inf): each
+        # conf must equal one built through __init__'s validation, with
+        # the same key order and the same value types.
+        for conf in SparkConf.from_matrix(np.array(rows)):
+            validated = SparkConf(conf.as_dict())
+            assert conf == validated
+            assert [(k, type(v)) for k, v in conf.as_dict().items()] == [
+                (k, type(v)) for k, v in validated.as_dict().items()
+            ]
+
+    def test_stack_is_byte_equal_to_stacked_vectors(self, rng):
+        lows = np.array([spec.low for spec in KNOB_SPECS]) - 5
+        highs = np.array([spec.high for spec in KNOB_SPECS]) + 5
+        confs = SparkConf.from_matrix(rng.uniform(lows, highs, size=(7, NUM_KNOBS)))
+        confs += [
+            confs[0].with_updates({"spark.executor.cores": 3.6,
+                                   "spark.rdd.compress": 1}),
+            SparkConf(),
+            SparkConf({"spark.executor.memory": "12", "spark.memory.fraction": 0.75,
+                       "spark.shuffle.compress": 0}),
+            SparkConf.random(rng),
+        ]
+        stacked = SparkConf.stack(confs)
+        expected = np.stack([conf.to_vector() for conf in confs])
+        assert stacked.dtype == expected.dtype and stacked.shape == expected.shape
+        assert stacked.tobytes() == expected.tobytes()
+        assert SparkConf.stack([]).shape == (0, NUM_KNOBS)
+
     def test_from_vector_clips_negative_bools_to_false(self):
         vec = SparkConf().to_vector()
         vec[KNOB_NAMES.index("spark.shuffle.compress")] = -0.6
