@@ -1,10 +1,9 @@
 """Concurrency-readiness rules (REP401–REP406) over a linked Program.
 
-The ROADMAP's next moves — the multi-tenant serving daemon and the
-data-parallel trainer — put code written for "one process, one caller"
-under concurrent load.  These rules flag the patterns that silently break
-there, using the whole-program inventory and call graph built by
-:mod:`.dataflow`:
+The multi-tenant serving daemon puts code written for "one process, one
+caller" under concurrent load.  These rules flag the patterns that
+silently break there, using the whole-program inventory and call graph
+built by :mod:`.dataflow`:
 
 - ``REP401`` module-level mutable global mutated from function scope
   (globals bound to ``threading.local()`` are excused — attribute writes

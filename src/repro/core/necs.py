@@ -68,16 +68,6 @@ class NECSConfig:
     lr: float = 2e-3
     grad_clip: float = 5.0
     seed: int = 0
-    #: Data-parallel training (DESIGN.md §15).  ``0`` keeps the legacy
-    #: single-process engine; ``>= 1`` selects the sharded engine — ``1``
-    #: runs the shards in-process, ``N`` forks N worker processes.  Loss
-    #: curves and final weights are bit-identical across worker counts
-    #: (canonical-order gradient reduction), though not to ``0``'s
-    #: whole-batch engine (different float summation order).
-    train_workers: int = 0
-    #: Rows per gradient shard for the data-parallel engine.  The shard
-    #: plan depends only on this and the batch — never the worker count.
-    train_shard_rows: int = 8
     #: Tower dtype for the ``predict_encoded`` serving fast path (see
     #: :mod:`repro.core.serving_dtype`); ``"float64"`` opts out of the
     #: float32 cast.  Training is float64 regardless.
@@ -438,11 +428,6 @@ class NECSEstimator:
         directly comparable.
         """
         cfg = self.config
-        if int(getattr(cfg, "train_workers", 0) or 0) >= 1:
-            self._train_loop_parallel(
-                numeric, code_ids, graphs, targets, verbose, template_index
-            )
-            return
         params = self.network.parameters()
         optimizer = nn.Adam(params, lr=cfg.lr)
         rng = get_rng(cfg.seed + 1)
@@ -481,88 +466,6 @@ class NECSEstimator:
                 logging.INFO if verbose else logging.DEBUG,
                 "epoch %d: loss %.4f", epoch, self.train_losses_[-1],
             )
-
-    def _make_shard_fn(self, numeric, code_ids, graphs, targets, template_index):
-        """Per-shard forward/backward closure for the data-parallel engine.
-
-        Returns ``(stats, grad_vec)`` for a shard's row indices: ``stats``
-        is ``[sse]`` (sum of squared errors — the shard-decomposable loss
-        form) and ``grad_vec`` the flat gradient of that sum over the
-        network's canonical parameter order.  With ``template_index``, the
-        shard encodes only *its* unique templates (``np.unique`` subset +
-        re-indexed gather), so workers never touch the full template set.
-        """
-        network = self.network
-        params = network.parameters()
-
-        def shard_fn(rows: np.ndarray):
-            if template_index is not None:
-                sub_templates, sub_index = np.unique(
-                    template_index[rows], return_inverse=True
-                )
-                codes = code_ids[sub_templates] if code_ids is not None else None
-                shard_graphs = (
-                    [graphs[i] for i in sub_templates] if graphs is not None else None
-                )
-                pred = network(
-                    numeric[rows], codes, shard_graphs, template_index=sub_index
-                )
-            else:
-                codes = code_ids[rows] if code_ids is not None else None
-                shard_graphs = [graphs[i] for i in rows] if graphs is not None else None
-                pred = network(numeric[rows], codes, shard_graphs)
-            sse = nn.squared_error_sum(pred, targets[rows])
-            network.zero_grad()
-            sse.backward()
-            return np.array([sse.item()]), nn.flat_grads(params)
-
-        return shard_fn
-
-    def _train_loop_parallel(
-        self, numeric, code_ids, graphs, targets, verbose: bool, template_index=None
-    ) -> None:
-        """Data-parallel variant of :meth:`_train_loop` (DESIGN.md §15).
-
-        Each batch is cut into fixed-size shards (a pure function of the
-        seeded permutation and ``train_shard_rows``), each shard computes a
-        *sum*-form loss and gradient, and the engine reduces them in shard
-        order before one ``1/B`` scaling — so ``workers=N`` reproduces
-        ``workers=1`` bit-for-bit.  The RNG draw sequence matches the
-        serial loop, so the batches are the same; the loss values differ
-        from ``train_workers=0`` only by float summation order.
-        """
-        cfg = self.config
-        params = self.network.parameters()
-        optimizer = nn.Adam(params, lr=cfg.lr)
-        rng = get_rng(cfg.seed + 1)
-        n = len(targets)
-        shard_fn = self._make_shard_fn(numeric, code_ids, graphs, targets, template_index)
-        shard_size = max(1, int(getattr(cfg, "train_shard_rows", 8)))
-        self.train_losses_ = []
-        with nn.ParallelGradEngine(params, shard_fn, workers=cfg.train_workers) as engine:
-            for epoch in range(cfg.epochs):
-                epoch_t0 = time.perf_counter()
-                order = rng.permutation(n)
-                epoch_loss = 0.0
-                batches = 0
-                for start in range(0, n, cfg.batch_size):
-                    idx = order[start : start + cfg.batch_size]
-                    stats, grad = engine.step(nn.shard_rows(idx, shard_size))
-                    grad *= 1.0 / len(idx)
-                    nn.set_flat_grads(params, grad)
-                    nn.clip_grad_norm(params, cfg.grad_clip)
-                    optimizer.step()
-                    epoch_loss += stats[0] / len(idx)
-                    batches += 1
-                self.train_losses_.append(float(epoch_loss / max(batches, 1)))
-                obs.counter(obsn.CTR_FIT_EPOCHS).inc()
-                obs.gauge(obsn.GAUGE_FIT_LAST_LOSS).set(self.train_losses_[-1])
-                obs.histogram(obsn.HIST_FIT_EPOCH_S).observe(time.perf_counter() - epoch_t0)
-                _LOG.log(
-                    logging.INFO if verbose else logging.DEBUG,
-                    "epoch %d: loss %.4f (%d-way data-parallel)",
-                    epoch, self.train_losses_[-1], cfg.train_workers,
-                )
 
     # ------------------------------------------------------------------
     @contextmanager

@@ -39,16 +39,19 @@ FORMAT = "repro-lite"
 # substreams (``_recommend_seq`` counters) so concurrent tenants draw
 # independent, deterministic candidate sequences; the ``_recommend_rng``
 # attribute is gone.
-# v6: NECSConfig grew the parallel-substrate knobs (``train_workers``,
-# ``train_shard_rows``, ``serving_dtype``).  The config is a *frozen*
-# dataclass, so a v5 checkpoint's instance is rebuilt field-by-field with
-# the new defaults instead of patched with setattr.
+# v6: NECSConfig grew ``serving_dtype`` (and the data-parallel training
+# knobs that v8 removed).  The config is a *frozen* dataclass, so a v5
+# checkpoint's instance is rebuilt field-by-field with the new defaults
+# instead of patched with setattr.
 # v7: the global DriftMonitor became a KeyedDriftMonitor (per-app windows
 # behind the same aggregate), LITE grew the TaskSwitchDetector and the
 # transfer warm-start config/ledger.  A v6 monitor's window contents and
 # lifetime count carry over into the aggregate; its pairs carried no app
 # key, so the per-app windows start empty.
-VERSION = 7
+# v8: NECSConfig lost the data-parallel training knobs (``train_workers``,
+# ``train_shard_rows``) along with the multi-process engine; a v7 config
+# is rebuilt from the current field set, dropping them.
+VERSION = 8
 
 
 def save_lite(
@@ -126,24 +129,35 @@ def _migrate_v4_to_v5(payload: Dict[str, object]) -> Dict[str, object]:
     return {**payload, "version": 5}
 
 
-def _migrate_v5_to_v6(payload: Dict[str, object]) -> Dict[str, object]:
-    """v5 -> v6: rebuild the frozen NECSConfig with the new field set.
+def _rebuild_necs_config(lite: LITE) -> None:
+    """Rebuild the frozen NECSConfig from the current field set.
 
-    ``LITE.config.necs`` and ``NECSEstimator.config`` are the same object
-    in a live system, so both references are pointed at the rebuilt one.
-    The serving snapshot is derived state and starts empty.
+    Fields the old instance lacks take their defaults; attributes the
+    current class no longer declares are dropped.  ``LITE.config.necs``,
+    ``NECSEstimator.config`` and ``NECSNetwork.config`` are the same object
+    in a live system, so every reference is pointed at the rebuilt one.
     """
     from dataclasses import fields
 
     from .necs import NECSConfig
 
-    lite = payload["lite"]
     old = lite.config.necs
     rebuilt = NECSConfig(
         **{f.name: getattr(old, f.name, f.default) for f in fields(NECSConfig)}
     )
     lite.config.necs = rebuilt
     lite.estimator.config = rebuilt
+    if getattr(lite.estimator, "network", None) is not None:
+        lite.estimator.network.config = rebuilt
+
+
+def _migrate_v5_to_v6(payload: Dict[str, object]) -> Dict[str, object]:
+    """v5 -> v6: rebuild the NECSConfig with the serving-dtype field.
+
+    The serving snapshot is derived state and starts empty.
+    """
+    lite = payload["lite"]
+    _rebuild_necs_config(lite)
     if not hasattr(lite.estimator, "_serving_snapshot"):
         lite.estimator._serving_snapshot = None
     return {**payload, "version": 6}
@@ -204,12 +218,19 @@ def _migrate_v6_to_v7(payload: Dict[str, object]) -> Dict[str, object]:
     return {**payload, "version": 7}
 
 
+def _migrate_v7_to_v8(payload: Dict[str, object]) -> Dict[str, object]:
+    """v7 -> v8: drop the removed data-parallel knobs from the NECSConfig."""
+    _rebuild_necs_config(payload["lite"])
+    return {**payload, "version": 8}
+
+
 _MIGRATIONS: Dict[int, Callable[[Dict[str, object]], Dict[str, object]]] = {
     2: _migrate_v2_to_v3,
     3: _migrate_v3_to_v4,
     4: _migrate_v4_to_v5,
     5: _migrate_v5_to_v6,
     6: _migrate_v6_to_v7,
+    7: _migrate_v7_to_v8,
 }
 
 

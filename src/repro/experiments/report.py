@@ -24,9 +24,8 @@ import numpy as np
 from ..utils.atomic import atomic_write_text
 
 #: Bump when the shape of the ``meta`` block changes.
-#: v2: ``cpu_count`` joined the environment block — parallel-training
-#: speedups are meaningless without knowing how many cores the runner had
-#: (their gates are hardware-conditional on it).
+#: v2: ``cpu_count`` joined the environment block — a speedup is
+#: meaningless without knowing how many cores the runner had.
 BENCH_SCHEMA_VERSION = 2
 
 

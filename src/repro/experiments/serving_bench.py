@@ -55,9 +55,8 @@ from .report import write_bench_report
 DEFAULT_OUT = "BENCH_serving.json"
 
 #: p50 floor for the float32+fused serving path over the taped float64
-#: path it replaced.  Unlike the parallel-training floor this gate is not
-#: hardware-conditional: the win comes from dtype width and tape
-#: elimination, not core count.
+#: path it replaced.  The gate is not hardware-conditional: the win comes
+#: from dtype width and tape elimination, not core count.
 DTYPE_SPEEDUP_FLOOR = 1.8
 
 #: Max relative error the float32 path may show against float64 totals.

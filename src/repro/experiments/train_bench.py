@@ -9,25 +9,12 @@ still match, measures fit and Adaptive-Model-Update throughput in
 instances/sec, and emits ``BENCH_training.json`` — the evidence behind the
 training-cost claim (offline collection dominates, but retraining must not).
 
-With ``workers >= 2`` the benchmark additionally measures the
-multi-process data-parallel engine (``NECSConfig.train_workers``) against
-its ``workers=1`` twin.  Two very different gates apply there:
-
-- *determinism* is unconditional — the engines must produce bit-identical
-  loss curves and weights on any machine, or the parallel substrate is
-  wrong;
-- the *speedup floor* (2.5x at 4 workers) is hardware-conditional — it is
-  only enforced when the host actually has >= 4 CPUs, and the report
-  records ``cpu_count`` so a single-core runner's 1.0x is legible as
-  "couldn't demonstrate", not "regressed".
-
 Used by ``repro bench-train`` (CLI) and
 ``benchmarks/test_training_throughput.py`` (asserts the speedup floor).
 """
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -46,11 +33,6 @@ DEFAULT_OUT = "BENCH_training.json"
 #: the benchmark to count — a fast path that trains a different model is a
 #: bug, not a speedup.
 LOSS_TOLERANCE = 1e-6
-
-#: Fit-throughput floor for the data-parallel engine at 4 workers —
-#: enforced only on hosts with at least this many CPUs.
-PARALLEL_SPEEDUP_FLOOR = 2.5
-PARALLEL_MIN_CPUS = 4
 
 
 def build_training_corpus(
@@ -183,56 +165,6 @@ def measure_training_throughput(
     }
 
 
-def measure_parallel_fit(
-    train: List[StageInstance],
-    workers: int,
-    epochs: int = 4,
-    seed: int = 0,
-    repeats: int = 3,
-) -> Dict[str, object]:
-    """Fit with the data-parallel engine at ``workers`` vs. ``workers=1``.
-
-    Both runs use the *same* parallel engine (identical shard plan and
-    reduction order), so the determinism checks demand exact bit equality
-    — the worker count may only change wall-clock, never a single ulp.
-    """
-    if workers < 2:
-        raise ValueError("measure_parallel_fit needs workers >= 2")
-    single_cfg = NECSConfig(epochs=epochs, seed=seed, train_workers=1)
-    multi_cfg = replace(single_cfg, train_workers=workers)
-
-    single_est, single_s = _best_of(
-        lambda: NECSEstimator(single_cfg).fit(train), repeats
-    )
-    multi_est, multi_s = _best_of(
-        lambda: NECSEstimator(multi_cfg).fit(train), repeats
-    )
-
-    losses_identical = single_est.train_losses_ == multi_est.train_losses_
-    sd_a, sd_b = single_est.network.state_dict(), multi_est.network.state_dict()
-    weights_identical = sd_a.keys() == sd_b.keys() and all(
-        np.array_equal(sd_a[k], sd_b[k]) for k in sd_a
-    )
-    cpu_count = os.cpu_count() or 1
-    speedup = single_s / multi_s
-    gate_enforced = cpu_count >= PARALLEL_MIN_CPUS
-    n = len(train)
-    return {
-        "workers": workers,
-        "cpu_count": cpu_count,
-        "single_s": single_s,
-        "multi_s": multi_s,
-        "single_inst_per_s": n * epochs / single_s,
-        "multi_inst_per_s": n * epochs / multi_s,
-        "speedup": speedup,
-        "loss_curves_bit_identical": bool(losses_identical),
-        "weights_bit_identical": bool(weights_identical),
-        "speedup_floor": PARALLEL_SPEEDUP_FLOOR,
-        "speedup_gate_enforced": gate_enforced,
-        "speedup_ok": bool(not gate_enforced or speedup >= PARALLEL_SPEEDUP_FLOOR),
-    }
-
-
 def run_training_benchmark(
     epochs: int = 4,
     update_epochs: int = 2,
@@ -240,13 +172,8 @@ def run_training_benchmark(
     seed: int = 0,
     out: Optional[Union[str, Path]] = DEFAULT_OUT,
     repeats: int = 3,
-    workers: int = 0,
 ) -> Dict[str, object]:
-    """Build a corpus, measure both engines, emit the JSON report.
-
-    ``workers >= 2`` adds the data-parallel section (multi-process fit vs.
-    its single-process twin, bit-identity gated).
-    """
+    """Build a corpus, measure both engines, emit the JSON report."""
     if smoke:
         epochs = min(epochs, 2)
         update_epochs = min(update_epochs, 1)
@@ -256,11 +183,6 @@ def run_training_benchmark(
         train, target, epochs=epochs, update_epochs=update_epochs, seed=seed,
         repeats=repeats,
     )
-    if workers >= 2:
-        result["parallel"] = measure_parallel_fit(
-            train, workers, epochs=epochs, seed=seed,
-            repeats=min(repeats, 2) if smoke else repeats,
-        )
     result["smoke"] = smoke
     if out is not None:
         path = write_bench_report(
@@ -268,7 +190,6 @@ def run_training_benchmark(
             config={
                 "epochs": epochs, "update_epochs": update_epochs,
                 "smoke": smoke, "seed": seed, "repeats": repeats,
-                "workers": workers,
             },
         )
         result["out"] = str(path)

@@ -14,18 +14,6 @@ def mse_loss(pred: Tensor, target: np.ndarray) -> Tensor:
     return (diff * diff).mean()
 
 
-def squared_error_sum(pred: Tensor, target: np.ndarray) -> Tensor:
-    """Sum of squared errors — the shard-decomposable form of :func:`mse_loss`.
-
-    Data-parallel training computes this per shard and divides the
-    canonical-order sum by the full batch size, so the loss value (and its
-    gradient scale) is independent of how the batch was sharded.
-    """
-    target_t = target if isinstance(target, Tensor) else Tensor(target)
-    diff = pred - target_t
-    return (diff * diff).sum()
-
-
 def mae_loss(pred: Tensor, target: np.ndarray) -> Tensor:
     """Mean absolute error via a smooth |x| = sqrt(x^2 + eps)."""
     target_t = target if isinstance(target, Tensor) else Tensor(target)
@@ -38,14 +26,6 @@ def bce_loss(prob: Tensor, target: np.ndarray, eps: float = 1e-7) -> Tensor:
     target_t = target if isinstance(target, Tensor) else Tensor(target)
     p = prob.clip(eps, 1.0 - eps)
     return -(target_t * p.log() + (1.0 - target_t) * (1.0 - p).log()).mean()
-
-
-def bce_loss_sum(prob: Tensor, target: np.ndarray, eps: float = 1e-7) -> Tensor:
-    """Summed binary cross-entropy — the shard-decomposable form of
-    :func:`bce_loss` (see :func:`squared_error_sum`)."""
-    target_t = target if isinstance(target, Tensor) else Tensor(target)
-    p = prob.clip(eps, 1.0 - eps)
-    return -(target_t * p.log() + (1.0 - target_t) * (1.0 - p).log()).sum()
 
 
 def bce_with_logits(logits: Tensor, target: np.ndarray) -> Tensor:

@@ -1,4 +1,4 @@
-"""Request-scoped trace context: one id that survives thread and process hops.
+"""Request-scoped trace context: one id that survives thread hops.
 
 A :class:`TraceContext` names the request a piece of work belongs to
 (``trace_id``) and, optionally, the span it should hang beneath
@@ -8,17 +8,12 @@ opened inside the block inherits its trace id (see
 :meth:`repro.obs.tracing.Tracer.span`).
 
 The interesting part is the *handoff*.  Thread-locals do not cross the
-MicroBatcher's leader/follower boundary, and nothing crosses a fork to a
-parallel training worker, so propagation is explicit:
-
-- :func:`capture` snapshots the calling thread's context **plus its
-  innermost live span** into a handle another thread can :func:`attach`
-  (cross-thread re-parenting) or record as a span link (the batch leader
-  links each coalesced follower's context into its ``serve.batch.run``
-  span).
-- Across processes the handle itself never travels: workers ship raw
-  span timings back with their gradients and the coordinator re-parents
-  them via :meth:`repro.obs.tracing.Tracer.adopt` under its own context.
+MicroBatcher's leader/follower boundary, so propagation is explicit:
+:func:`capture` snapshots the calling thread's context **plus its
+innermost live span** into a handle another thread can :func:`attach`
+(cross-thread re-parenting) or record as a span link (the batch leader
+links each coalesced follower's context into its ``serve.batch.run``
+span).
 
 ``annotations`` is a mutable dict shared by every capture of the same
 context.  It lets a *later* stage report back to the request that owns

@@ -25,10 +25,9 @@ included) via :func:`export_jsonl`, or as an indented tree via
 Spans are request-scoped when a :class:`repro.obs.context.TraceContext`
 is attached: each span inherits the context's ``trace_id``, a span opened
 on a thread with an empty stack parents under the context's captured span
-(the cross-thread case), and spans finished in *other processes* can be
-re-parented into this tracer's buffer via :meth:`Tracer.adopt`.  Spans
-may also carry *links* — references to other contexts whose work was
-coalesced into this span (the micro-batch leader links every follower).
+(the cross-thread case).  Spans may also carry *links* — references to
+other contexts whose work was coalesced into this span (the micro-batch
+leader links every follower).
 """
 
 from __future__ import annotations
@@ -262,37 +261,6 @@ class Tracer:
             depth = 0
             trace_id = None
         return Span(self, name, parent_id=parent_id, depth=depth, trace_id=trace_id)
-
-    def adopt(
-        self,
-        name: str,
-        start_s: float,
-        duration_s: float,
-        parent_id: Optional[int] = None,
-        depth: int = 0,
-        trace_id: Optional[str] = None,
-        attrs: Optional[Dict[str, object]] = None,
-    ) -> int:
-        """Ingest a span that finished elsewhere (another process).
-
-        Parallel training workers cannot share this tracer — they run in
-        forked processes whose registry/tracer state dies with them — so
-        they ship raw ``(name, start, duration)`` timings back with their
-        results and the coordinator *adopts* them: a fresh span id is
-        allocated here, the record is re-parented under the coordinator's
-        span, and the duration feeds the same per-name histogram as a
-        locally finished span.  Returns the allocated span id.
-        """
-        span_id = self._next_id()
-        with self._lock:
-            self._records.append((
-                span_id, parent_id, name,
-                start_s, duration_s, depth, dict(attrs) if attrs else {},
-                trace_id, (),
-            ))
-            hist = self._hist_locked(name)
-        hist.observe(duration_s)
-        return span_id
 
     def records(self) -> List[SpanRecord]:
         """Finished spans, oldest first."""

@@ -113,9 +113,9 @@ class TestRep104ServingDtypeBoundary:
         src = "x = tensor.data\ny = np.float32(1.0)\n"
         assert rule_ids(src, path="src/repro/core/serving_dtype.py") == ["REP101"]
 
-    def test_parallel_substrate_exempt_from_tensor_rules_only(self):
+    def test_substrate_exempt_from_tensor_rules_only(self):
         src = "p.data = vec\nq = np.float32(1.0)\n"
-        assert rule_ids(src, path="src/repro/nn/parallel.py") == ["REP104"]
+        assert rule_ids(src, path="src/repro/nn/module.py") == ["REP104"]
 
 
 class TestRep105BareExcept:

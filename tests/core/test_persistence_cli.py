@@ -137,17 +137,14 @@ class TestPersistenceFailureModes:
         b = self._recommend(fresh)
         assert a.conf == b.conf
 
-    def test_v5_config_rebuilt_with_parallel_substrate_fields(
-        self, tiny_lite, tmp_path
-    ):
+    def test_v5_config_rebuilt_with_serving_dtype_field(self, tiny_lite, tmp_path):
         import pickle
 
-        # A v5 build's NECSConfig predates train_workers/train_shard_rows/
-        # serving_dtype; the frozen dataclass stores fields in __dict__, so
-        # aging one is deleting those attributes.
+        # A v5 build's NECSConfig predates serving_dtype; the frozen
+        # dataclass stores fields in __dict__, so aging one is deleting
+        # that attribute.
         clone = pickle.loads(pickle.dumps(tiny_lite))
-        for name in ("train_workers", "train_shard_rows", "serving_dtype"):
-            object.__delattr__(clone.config.necs, name)
+        object.__delattr__(clone.config.necs, "serving_dtype")
         if hasattr(clone.estimator, "_serving_snapshot"):
             del clone.estimator._serving_snapshot
         path = tmp_path / "v5.pkl"
@@ -155,8 +152,6 @@ class TestPersistenceFailureModes:
             {"format": "repro-lite", "version": 5, "lite": clone}))
         loaded = load_lite(path)
         cfg = loaded.config.necs
-        assert cfg.train_workers == 0
-        assert cfg.train_shard_rows == 8
         assert cfg.serving_dtype == "float32"
         # Both references must point at the one rebuilt config.
         assert loaded.estimator.config is cfg
@@ -165,6 +160,40 @@ class TestPersistenceFailureModes:
         rec = self._recommend(loaded)
         assert rec.predicted_time_s > 0
         assert loaded.estimator._serving_snapshot is not None
+
+    def test_v7_config_drops_data_parallel_fields(
+        self, tiny_lite, tmp_path, monkeypatch
+    ):
+        import multiprocessing
+        import os
+        import pickle
+
+        # A v7 build's NECSConfig carried the data-parallel training knobs.
+        clone = pickle.loads(pickle.dumps(tiny_lite))
+        object.__setattr__(clone.config.necs, "train_workers", 2)
+        object.__setattr__(clone.config.necs, "train_shard_rows", 16)
+        path = tmp_path / "v7.pkl"
+        path.write_bytes(pickle.dumps(
+            {"format": "repro-lite", "version": 7, "lite": clone}))
+        loaded = load_lite(path)
+        cfg = loaded.config.necs
+        assert not hasattr(cfg, "train_workers")
+        assert not hasattr(cfg, "train_shard_rows")
+        assert cfg == tiny_lite.config.necs
+        assert loaded.estimator.config is cfg
+        assert loaded.estimator.network.config is cfg
+
+        # An explicit update retrains in this process: nothing may fork.
+        def no_fork(*args, **kwargs):
+            raise AssertionError("adaptive update must not start a process")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        monkeypatch.setattr(multiprocessing.Process, "start", no_fork)
+        version = loaded.estimator.version
+        rec = self._recommend(loaded)
+        run = get_workload("PageRank").run(rec.conf, CLUSTER_C, scale="train0", seed=0)
+        assert loaded.feedback(run, update_now=True)
+        assert loaded.estimator.version > version
 
     def test_v6_global_drift_becomes_keyed_with_detector(self, tiny_lite, tmp_path):
         import pickle
@@ -203,8 +232,8 @@ class TestPersistenceFailureModes:
         assert loaded.last_transfer is None
         assert loaded.config.switch_detection is False
         assert loaded.config.transfer_top_k == 2
-        # The migrated system round-trips through the v7 writer...
-        again = load_lite(save_lite(loaded, tmp_path / "v7.pkl"))
+        # The migrated system round-trips through the current writer...
+        again = load_lite(save_lite(loaded, tmp_path / "current.pkl"))
         assert again.drift.stats().n == 3
         assert again.drift.total_recorded == 3
         # ...and records per-app drift from post-migration feedback.

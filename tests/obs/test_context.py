@@ -1,20 +1,14 @@
-"""Trace context: capture/attach handles, cross-thread and cross-process
-stitching.
+"""Trace context: capture/attach handles and cross-thread stitching.
 
-The context module's whole job is to carry one trace id across the two
-boundaries thread-locals cannot cross — the MicroBatcher's follower ->
-leader handoff (another thread) and the parallel trainer's coordinator ->
-worker handoff (another process).  These tests drive both with real
-threads and a real forked worker pool and assert every resulting span
-shares the request's trace id.
+The context module's whole job is to carry one trace id across the
+boundary thread-locals cannot cross — the MicroBatcher's follower ->
+leader handoff (another thread).  These tests drive it with real threads
+and assert every resulting span shares the request's trace id.
 """
 
 from __future__ import annotations
 
 import threading
-
-import numpy as np
-import pytest
 
 from repro import obs
 from repro.obs import context
@@ -117,52 +111,3 @@ class TestCrossThreadStitching:
         assert rec.to_dict()["links"] == [
             {"trace_id": "cafe000000000008", "span_id": 42}
         ]
-
-
-def _shard_fn(payload):
-    return np.array([float(payload)]), np.ones(3)
-
-
-class TestCrossProcessStitching:
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_parallel_spans_share_request_trace_id(self, workers):
-        from repro.nn.module import Parameter
-        from repro.nn.parallel import ParallelGradEngine
-
-        obs.enable_tracing()
-        trace_id = "feedbeef12345678"
-        with context.request(trace_id):
-            with obs.span(obsn.SPAN_SERVE_REQUEST):
-                with ParallelGradEngine(
-                    [Parameter(np.zeros(3))], _shard_fn, workers=workers
-                ) as eng:
-                    stats, grads = eng.step([1.0, 2.0, 3.0])
-        # The math is unchanged by tracing or worker count.
-        assert stats == pytest.approx(6.0)
-        assert grads == pytest.approx(np.full(3, 3.0))
-
-        records = obs.get_tracer().records()
-        assert all(r.trace_id == trace_id for r in records), records
-        (step,) = [r for r in records if r.name == obsn.SPAN_PARALLEL_STEP]
-        shards = [r for r in records if r.name == obsn.SPAN_PARALLEL_SHARD]
-        assert len(shards) == 3
-        for shard in shards:
-            assert shard.parent_id == step.span_id
-            assert shard.depth == step.depth + 1
-        assert sorted(s.attrs["shard"] for s in shards) == [0, 1, 2]
-        if workers > 1:
-            assert all(s.attrs.get("remote") for s in shards)
-
-    def test_adopted_shards_feed_duration_histograms(self):
-        from repro.nn.module import Parameter
-        from repro.nn.parallel import ParallelGradEngine
-
-        obs.enable_tracing()
-        with context.request():
-            with ParallelGradEngine(
-                [Parameter(np.zeros(3))], _shard_fn, workers=2
-            ) as eng:
-                eng.step([1.0, 2.0])
-        snap = obs.metrics_snapshot()
-        key = f"span.{obsn.SPAN_PARALLEL_SHARD}.duration_s"
-        assert snap[key]["count"] == 2

@@ -152,51 +152,39 @@ class TestEndToEndTrace:
             if span is not root:
                 assert span.parent_id is not None
 
-    def test_trace_reaches_parallel_training_spans(
-            self, tenant_checkpoints, tmp_path):
-        """The full tentpole chain: HTTP handler -> feedback -> adaptive
-        update through the data-parallel engine, one trace id throughout.
-        """
-        from dataclasses import replace
-
-        from repro.core.persistence import load_lite, save_lite
-
-        lite = load_lite(tenant_checkpoints["acme"])
-        lite.estimator.config = replace(lite.estimator.config, train_workers=2)
-        ckpt = {"acme": save_lite(lite, tmp_path / "acme-parallel.pkl")}
-        svc = LiteService(ModelRegistry(ckpt), ServiceConfig(batch_window_s=0.0))
-        srv = make_server(svc)
-        threading.Thread(target=srv.serve_forever, daemon=True).start()
+    def test_trace_reaches_adaptive_update_spans(self, server):
+        """HTTP handler -> feedback -> adaptive update, one trace id
+        throughout, with the update nested under the feedback span."""
         obs.enable_tracing()
         try:
             status, body, _ = _request(
-                srv, "POST", "/v1/feedback",
+                server, "POST", "/v1/feedback",
                 {"tenant": "acme", "app": APP, "scale": "train0",
                  "conf": {}, "seed": 3, "update_now": True},
                 headers={TRACE_HEADER: "e2e-trace-0002"},
             )
         finally:
             obs.disable_tracing()
-            srv.shutdown()
-            srv.server_close()
-            svc.close()
         assert status == 200
         assert body["updated"] is True
         spans = [
             r for r in obs.get_tracer().records()
             if r.trace_id == "e2e-trace-0002"
         ]
+        by_id = {s.span_id: s for s in spans}
         names = {s.name for s in spans}
-        assert obsn.SPAN_SERVE_REQUEST in names
-        assert obsn.SPAN_SERVE_FEEDBACK in names
-        assert obsn.SPAN_PARALLEL_STEP in names
-        assert obsn.SPAN_PARALLEL_SHARD in names
-        # Shard spans came back from the worker process and were adopted
-        # under the step span — still inside the request's trace.
-        steps = {s.span_id for s in spans if s.name == obsn.SPAN_PARALLEL_STEP}
-        shards = [s for s in spans if s.name == obsn.SPAN_PARALLEL_SHARD]
-        assert shards and all(s.parent_id in steps for s in shards)
-        assert all(s.attrs.get("remote") for s in shards)
+        for name in (obsn.SPAN_SERVE_REQUEST, obsn.SPAN_SERVE_FEEDBACK,
+                     obsn.SPAN_ADAPTIVE_UPDATE, obsn.SPAN_NECS_UPDATE):
+            assert name in names
+
+        def ancestors(span):
+            while span.parent_id is not None:
+                span = by_id[span.parent_id]
+                yield span.name
+
+        for span in spans:
+            if span.name in (obsn.SPAN_ADAPTIVE_UPDATE, obsn.SPAN_NECS_UPDATE):
+                assert obsn.SPAN_SERVE_FEEDBACK in set(ancestors(span))
 
 
 class TestMetricsEndpoint:
